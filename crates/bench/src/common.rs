@@ -71,11 +71,13 @@ pub struct DeliveryScenario {
     /// Broadcast acknowledgement mode (cumulative keep-alive
     /// watermarks vs per-event acks).
     pub ack_mode: AckMode,
-    /// Delivery→execution SPSC ring (off measures the inline
-    /// delivery baseline).
+    /// Ignored: the delivery→execution ring was removed. Kept only so
+    /// the `perfbench/` benchmark still compiles.
+    #[deprecated(note = "the exec ring was removed; this field is ignored")]
     pub exec_ring: bool,
-    /// Payload-arena re-homing in the event store (off measures the
-    /// frame-pinning clone baseline).
+    /// Ignored: the payload arena was removed. Kept only so the
+    /// `perfbench/` benchmark still compiles.
+    #[deprecated(note = "the payload arena was removed; this field is ignored")]
     pub payload_arena: bool,
     /// Adaptive WAL group-commit gating (off pins the fixed
     /// `wal_max_gated` bound).
@@ -108,6 +110,7 @@ impl DeliveryScenario {
     /// The paper's default setup: five processes, 4-byte events at
     /// 10 events/s for 200 seconds, receiver farthest from the app.
     #[must_use]
+    #[allow(deprecated)] // fills the ignored compatibility fields
     pub fn paper_default(delivery: Delivery) -> Self {
         Self {
             n_processes: 5,
@@ -202,8 +205,6 @@ pub fn run_delivery_with_probes(
         .with_forwarding(cfg.forwarding)
         .with_coalescing(cfg.coalescing)
         .with_ack_mode(cfg.ack_mode)
-        .with_exec_ring(cfg.exec_ring)
-        .with_payload_arena(cfg.payload_arena)
         .with_wal_adaptive_gating(cfg.wal_adaptive)
         .with_repair(cfg.repair);
     if cfg.routines {
@@ -331,8 +332,6 @@ pub fn background_wifi_bytes(cfg: &DeliveryScenario) -> u64 {
         .with_forwarding(quiet.forwarding)
         .with_coalescing(quiet.coalescing)
         .with_ack_mode(quiet.ack_mode)
-        .with_exec_ring(quiet.exec_ring)
-        .with_payload_arena(quiet.payload_arena)
         .with_wal_adaptive_gating(quiet.wal_adaptive);
     let mut home = HomeBuilder::new(&mut net).with_config(config);
     let pids: Vec<ProcessId> = (0..quiet.n_processes)

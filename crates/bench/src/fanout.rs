@@ -225,14 +225,6 @@ pub struct SimPoint {
     pub bytes_per_event: f64,
     /// Coalescing counters recorded during the run.
     pub fanout: FanoutSnapshot,
-    /// Events handed through the delivery→execution SPSC ring.
-    pub ring_pops: u64,
-    /// Batched ring drains (pops ÷ batches = mean batch size).
-    pub ring_batches: u64,
-    /// Payloads re-homed into the event-payload arena.
-    pub arena_allocs: u64,
-    /// Arena chunk refills served by recycling a drained chunk.
-    pub arena_recycled: u64,
 }
 
 /// The §8 scenario used for the sim points: 1 KiB events at 50/s for
@@ -257,11 +249,7 @@ pub fn sim_scenario(workload: SimWorkload, optimized: bool) -> DeliveryScenario 
     } else {
         AckMode::PerEvent
     };
-    // Round-3 hot-path knobs ride the same optimized/unoptimized twin
-    // split: the baseline twin measures inline delivery, frame-pinning
-    // payload clones, and the fixed group-commit bound.
-    cfg.exec_ring = optimized;
-    cfg.payload_arena = optimized;
+    // The baseline twin also pins the fixed group-commit bound.
     cfg.wal_adaptive = optimized;
     cfg
 }
@@ -353,10 +341,6 @@ fn run_sim_rep(
         delivered: out.unique_delivered,
         events_per_sec: out.unique_delivered as f64 / elapsed,
         bytes_per_event: foreground as f64 / out.unique_delivered.max(1) as f64,
-        ring_pops: out.obs.counter("ring.pops"),
-        ring_batches: out.obs.counter("ring.batches"),
-        arena_allocs: out.obs.counter("arena.allocs"),
-        arena_recycled: out.obs.counter("arena.recycled"),
         fanout: out.fanout,
     }
 }

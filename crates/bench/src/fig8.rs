@@ -207,6 +207,18 @@ mod tests {
     }
 
     #[test]
+    fn same_seed_runs_poll_identically() {
+        let polls =
+            |mode| -> Vec<u64> { run(mode, LEN, 3).iter().map(|p| p.polls_received).collect() };
+        for mode in [Mode::Coordinated, Mode::Uncoordinated, Mode::Gap] {
+            let first = polls(mode);
+            for _ in 0..3 {
+                assert_eq!(polls(mode), first, "{mode}");
+            }
+        }
+    }
+
+    #[test]
     fn coordinated_epochs_are_answered() {
         let points = run(Mode::Coordinated, LEN, 3);
         // Even at 2 % radio loss, re-polling answers almost every

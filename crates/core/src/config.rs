@@ -76,11 +76,6 @@ pub struct RivuletConfig {
     /// How broadcast deliveries are acknowledged (cumulative watermarks
     /// by default; per-event acks as a fallback).
     pub ack_mode: AckMode,
-    /// Number of sensor shards in the replication store (and the
-    /// pending-delivery maps keyed the same way). One shard reproduces
-    /// the original flat layout; more shards keep hot-path tree walks
-    /// short when many sensors are live.
-    pub store_shards: usize,
     /// Durability back-pressure: when this many actions are gated
     /// behind un-flushed WAL appends, the process forces a group commit
     /// instead of waiting for the flush policy's own trigger. Bounds
@@ -94,21 +89,6 @@ pub struct RivuletConfig {
     /// at low depth shrink it back so latency stays bounded. Disabled,
     /// the bound is pinned at `wal_max_gated`.
     pub wal_adaptive_gating: bool,
-    /// Whether the delivery→execution handoff runs through a bounded
-    /// lock-free SPSC ring with batched pops instead of delivering
-    /// inline per action. Behavior-neutral (same events, same order);
-    /// disable to measure the inline baseline.
-    pub exec_ring: bool,
-    /// Slots in the delivery→execution ring (rounded up to a power of
-    /// two). When the ring fills, delivery falls back to inline
-    /// execution for that event, so this bounds batching, not
-    /// correctness.
-    pub exec_ring_capacity: usize,
-    /// Whether stored event payloads that pin a larger backing buffer
-    /// (views into arrival frames) are re-homed into a refcounted
-    /// payload arena recycled on watermark retirement. Disable to
-    /// measure the frame-pinning baseline.
-    pub payload_arena: bool,
     /// Master switch for the device-fault detection + repair layer
     /// (per-sensor health models, outlier substitution, quarantine,
     /// stall re-polls). **Off by default**: with repair disabled the
@@ -157,12 +137,8 @@ impl Default for RivuletConfig {
             store_gc: true,
             coalescing: true,
             ack_mode: AckMode::Cumulative,
-            store_shards: 8,
             wal_max_gated: 512,
             wal_adaptive_gating: true,
-            exec_ring: true,
-            exec_ring_capacity: 1024,
-            payload_arena: true,
             repair: false,
             repair_stuck_run: 6,
             repair_disagreement: 4.0,
@@ -228,18 +204,6 @@ impl RivuletConfig {
         self
     }
 
-    /// Returns a config with the store shard count replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_store_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "store shard count must be positive");
-        self.store_shards = shards;
-        self
-    }
-
     /// Returns a config with adaptive WAL group-commit gating enabled
     /// or disabled.
     #[must_use]
@@ -248,32 +212,21 @@ impl RivuletConfig {
         self
     }
 
-    /// Returns a config with the delivery→execution SPSC ring enabled
-    /// or disabled.
+    /// Returns the config unchanged: the delivery→execution ring is
+    /// gone and deliveries run inline. Kept only so the `perfbench/`
+    /// benchmark still compiles.
+    #[deprecated(note = "the exec ring was removed; this is a no-op")]
     #[must_use]
-    pub fn with_exec_ring(mut self, enabled: bool) -> Self {
-        self.exec_ring = enabled;
+    pub fn with_exec_ring(self, _enabled: bool) -> Self {
         self
     }
 
-    /// Returns a config with the delivery→execution ring capacity
-    /// replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Returns the config unchanged: the payload arena is gone and the
+    /// event store always compacts frame-pinning payloads. Kept only
+    /// so the `perfbench/` benchmark still compiles.
+    #[deprecated(note = "the payload arena was removed; this is a no-op")]
     #[must_use]
-    pub fn with_exec_ring_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "exec ring capacity must be positive");
-        self.exec_ring_capacity = capacity;
-        self
-    }
-
-    /// Returns a config with payload-arena re-homing enabled or
-    /// disabled.
-    #[must_use]
-    pub fn with_payload_arena(mut self, enabled: bool) -> Self {
-        self.payload_arena = enabled;
+    pub fn with_payload_arena(self, _enabled: bool) -> Self {
         self
     }
 
@@ -360,12 +313,8 @@ mod tests {
         assert!(c.anti_entropy);
         assert!(c.coalescing, "coalescing is on by default");
         assert_eq!(c.ack_mode, AckMode::Cumulative);
-        assert_eq!(c.store_shards, 8);
         assert!(c.wal_max_gated > 0);
         assert!(c.wal_adaptive_gating, "adaptive gating on by default");
-        assert!(c.exec_ring, "exec ring on by default");
-        assert!(c.exec_ring_capacity > 0);
-        assert!(c.payload_arena, "payload arena on by default");
         assert!(!c.repair, "repair layer is opt-in");
         assert!(c.repair_stuck_run >= 2);
         assert!(c.repair_disagreement > 0.0);
@@ -415,34 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn round3_builders() {
-        let c = RivuletConfig::default()
-            .with_wal_adaptive_gating(false)
-            .with_exec_ring(false)
-            .with_exec_ring_capacity(64)
-            .with_payload_arena(false);
+    fn adaptive_gating_builder() {
+        let c = RivuletConfig::default().with_wal_adaptive_gating(false);
         assert!(!c.wal_adaptive_gating);
-        assert!(!c.exec_ring);
-        assert_eq!(c.exec_ring_capacity, 64);
-        assert!(!c.payload_arena);
-    }
-
-    #[test]
-    #[should_panic(expected = "exec ring capacity must be positive")]
-    fn zero_ring_capacity_panics() {
-        let _ = RivuletConfig::default().with_exec_ring_capacity(0);
-    }
-
-    #[test]
-    fn store_shards_builder() {
-        let c = RivuletConfig::default().with_store_shards(2);
-        assert_eq!(c.store_shards, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "store shard count must be positive")]
-    fn zero_store_shards_panics() {
-        let _ = RivuletConfig::default().with_store_shards(0);
     }
 
     #[test]

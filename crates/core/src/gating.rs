@@ -1,29 +1,16 @@
-//! Durability gating: the queue of actions awaiting a WAL flush, and
-//! the adaptive group-commit bound that forces one.
+//! Durability gating: the actions awaiting a WAL flush, and the
+//! adaptive group-commit bound that forces one.
 //!
 //! A process appends `Deliver` events to the WAL and holds *all*
 //! resulting actions back until the append is durable
-//! (`process::apply_actions_durably`). Two pieces live here:
-//!
-//! * [`GatedQueue`] — the held-back actions. The WAL flush path used
-//!   to walk one flat `Vec<Action>`; like the PR 6 `EventStore` and
-//!   rbcast pending maps, it is now **sharded by sensor** so a flush
-//!   releasing thousands of gated deliveries touches short per-sensor
-//!   queues. Each action is tagged with its global arrival sequence,
-//!   and [`GatedQueue::drain_into`] k-way-merges the shard fronts by
-//!   that tag, so release order is *exactly* arrival order — the
-//!   deliver-before-ack and outbox-coalescing behavior of the flat
-//!   queue is preserved bit for bit.
-//! * [`AdaptiveGate`] — the group-commit bound. A fixed
-//!   `wal_max_gated` stalls bursty workloads (every burst larger than
-//!   the cap pays a forced flush) and over-delays sparse ones. The
-//!   gate grows the bound multiplicatively when bursts force flushes
-//!   and shrinks it when flushes fire at low depth, following the
-//!   adaptive group-commit argument of the user-space WAL literature:
-//!   batch size should track observed arrival pressure, not a
-//!   constant.
-
-use std::collections::VecDeque;
+//! (`process::apply_actions_durably`); a flush releases them in
+//! arrival order. A fixed `wal_max_gated` stalls bursty workloads
+//! (every burst larger than the cap pays a forced flush) and
+//! over-delays sparse ones. [`AdaptiveGate`] grows the bound
+//! multiplicatively when bursts force flushes and shrinks it when
+//! flushes fire at low depth, following the adaptive group-commit
+//! argument of the user-space WAL literature: batch size should track
+//! observed arrival pressure, not a constant.
 
 use crate::delivery::Action;
 
@@ -32,8 +19,8 @@ const GATE_STEP: usize = 2;
 /// The bound grows to at most `initial × GATE_MAX_FACTOR`.
 const GATE_MAX_FACTOR: usize = 16;
 
-/// Adaptive bound on how many actions may gate behind un-flushed WAL
-/// appends before the process forces a group commit.
+/// Actions gated behind un-flushed WAL appends, with an adaptive bound
+/// on how many may wait before the process forces a group commit.
 ///
 /// Policy (multiplicative-increase / multiplicative-decrease):
 ///
@@ -48,6 +35,7 @@ const GATE_MAX_FACTOR: usize = 16;
 ///   behavior.
 #[derive(Debug, Clone)]
 pub struct AdaptiveGate {
+    held: Vec<Action>,
     bound: usize,
     initial: usize,
     adaptive: bool,
@@ -64,6 +52,7 @@ impl AdaptiveGate {
     pub fn new(initial: usize, adaptive: bool) -> Self {
         let initial = initial.max(1);
         Self {
+            held: Vec::new(),
             bound: initial,
             initial,
             adaptive,
@@ -78,7 +67,23 @@ impl AdaptiveGate {
         self.bound
     }
 
-    /// Records that the gated queue hit the bound and a flush was
+    /// Holds `action` until the next flush.
+    pub fn hold(&mut self, action: Action) {
+        self.held.push(action);
+    }
+
+    /// Number of held actions.
+    #[must_use]
+    pub fn held(&self) -> usize {
+        self.held.len()
+    }
+
+    /// Releases every held action, in the order they were held.
+    pub fn release(&mut self) -> Vec<Action> {
+        std::mem::take(&mut self.held)
+    }
+
+    /// Records that the held actions hit the bound and a flush was
     /// forced; grows the bound.
     pub fn on_forced_flush(&mut self) {
         self.forced += 1;
@@ -107,101 +112,6 @@ impl AdaptiveGate {
                 self.adjustments += 1;
             }
         }
-    }
-}
-
-/// Actions gated behind un-flushed WAL appends, sharded by sensor.
-///
-/// `Deliver` actions go to `shard(sensor) = sensor % shards`; `Send`/
-/// `Fanout` actions go to a misc queue. Every push is tagged with a
-/// global sequence number and each queue is FIFO, so each queue front
-/// is its queue's minimum tag — [`GatedQueue::drain_into`] merges the
-/// fronts to reproduce exact arrival order.
-#[derive(Debug)]
-pub struct GatedQueue {
-    shards: Vec<VecDeque<(u64, Action)>>,
-    misc: VecDeque<(u64, Action)>,
-    next_seq: u64,
-    len: usize,
-}
-
-impl GatedQueue {
-    /// Creates a queue with `shards` sensor shards (clamped to ≥ 1).
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        Self {
-            shards: (0..shards).map(|_| VecDeque::new()).collect(),
-            misc: VecDeque::new(),
-            next_seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of gated actions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no actions are gated.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Length of the deepest sensor shard (observability gauge).
-    #[must_use]
-    pub fn max_shard_depth(&self) -> usize {
-        self.shards
-            .iter()
-            .map(VecDeque::len)
-            .max()
-            .unwrap_or(0)
-            .max(self.misc.len())
-    }
-
-    /// Gates an action, preserving global arrival order via the
-    /// sequence tag.
-    pub fn push(&mut self, action: Action) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let queue = match &action {
-            Action::Deliver { event } => {
-                let shard = event.id.sensor.as_u32() as usize % self.shards.len();
-                &mut self.shards[shard]
-            }
-            Action::Send { .. } | Action::Fanout { .. } => &mut self.misc,
-        };
-        queue.push_back((seq, action));
-        self.len += 1;
-    }
-
-    /// Releases every gated action into `out` in exact arrival order
-    /// (k-way merge of the shard fronts by sequence tag).
-    pub fn drain_into(&mut self, out: &mut Vec<Action>) {
-        out.reserve(self.len);
-        loop {
-            // Each queue is FIFO in seq, so the global minimum is one
-            // of the fronts.
-            let mut best: Option<(&mut VecDeque<(u64, Action)>, u64)> = None;
-            for q in self
-                .shards
-                .iter_mut()
-                .chain(std::iter::once(&mut self.misc))
-            {
-                if let Some(&(seq, _)) = q.front() {
-                    match best {
-                        Some((_, best_seq)) if best_seq <= seq => {}
-                        _ => best = Some((q, seq)),
-                    }
-                }
-            }
-            let Some((q, _)) = best else { break };
-            let (_, action) = q.pop_front().expect("front probed above");
-            out.push(action);
-        }
-        self.len = 0;
     }
 }
 
@@ -271,53 +181,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_queue_preserves_arrival_order() {
-        let mut q = GatedQueue::new(4);
-        // Interleave sensors (different shards), including shard
-        // collisions (0 and 4) and misc actions.
-        let actions: Vec<Action> = vec![
-            deliver(0, 0),
-            deliver(1, 0),
-            deliver(4, 0), // same shard as sensor 0
-            deliver(0, 1),
-            deliver(2, 0),
-            deliver(4, 1),
-            deliver(3, 0),
-        ];
-        for a in actions.clone() {
-            q.push(a);
+    fn flush_releases_actions_in_hold_order() {
+        let mut gate = AdaptiveGate::new(8, true);
+        let held = [(0, 0), (1, 0), (4, 0), (0, 1), (2, 0), (4, 1), (3, 0)];
+        for (sensor, seq) in held {
+            gate.hold(deliver(sensor, seq));
         }
-        assert_eq!(q.len(), 7);
-        assert!(q.max_shard_depth() >= 2, "collisions stack in one shard");
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        assert!(q.is_empty());
-        let ids = |v: &[Action]| -> Vec<(u32, u64)> {
-            v.iter()
-                .map(|a| match a {
-                    Action::Deliver { event } => (event.id.sensor.as_u32(), event.id.seq),
-                    _ => unreachable!(),
-                })
-                .collect()
-        };
-        assert_eq!(ids(&out), ids(&actions), "exact arrival order");
-    }
-
-    #[test]
-    fn queue_reusable_after_drain() {
-        let mut q = GatedQueue::new(2);
-        q.push(deliver(0, 0));
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        q.push(deliver(1, 0));
-        q.push(deliver(0, 1));
-        out.clear();
-        q.drain_into(&mut out);
-        assert_eq!(out.len(), 2);
-        // Seq tags keep increasing across drains; order still holds.
-        let Action::Deliver { event } = &out[0] else {
-            panic!()
-        };
-        assert_eq!(event.id.sensor, SensorId(1));
+        assert_eq!(gate.held(), held.len());
+        let released: Vec<(u32, u64)> = gate
+            .release()
+            .iter()
+            .map(|a| match a {
+                Action::Deliver { event } => (event.id.sensor.as_u32(), event.id.seq),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(released, held, "arrival order");
+        assert_eq!(gate.held(), 0);
     }
 }

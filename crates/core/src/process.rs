@@ -25,12 +25,10 @@ use bytes::Bytes;
 use rivulet_devices::frame::RadioFrame;
 use rivulet_net::actor::{Actor, ActorEvent, ActorId, Context};
 use rivulet_net::metrics::FanoutStats;
-use rivulet_net::ring::SpscRing;
 use rivulet_obs::Recorder;
 use rivulet_types::wire::{Wire, WriterPool};
 use rivulet_types::{
-    ArenaStats, Command, CommandId, Duration, Event, OperatorId, ProcessId, RoutineId, SensorId,
-    Time,
+    Command, CommandId, Duration, Event, OperatorId, ProcessId, RoutineId, SensorId, Time,
 };
 
 use crate::app::{AppRuntime, AppSpec, OpOutput, StreamKey};
@@ -42,7 +40,7 @@ use crate::delivery::rbcast::RbcastState;
 use crate::delivery::{Action, Delivery};
 use crate::deploy::{Directory, DirectoryData};
 use crate::execution::{placement, ExecutionState, Transition};
-use crate::gating::{AdaptiveGate, GatedQueue};
+use crate::gating::AdaptiveGate;
 use crate::membership::Membership;
 use crate::messages::{Frame, ProcMsg};
 use crate::probe::{AppProbe, DeliveryRecord, StoreProbe};
@@ -183,29 +181,9 @@ struct Initialized {
     last_successor: Option<ProcessId>,
     /// The write-ahead log, when durable storage is attached.
     wal: Option<Wal>,
-    /// Adaptive group-commit bound on the gated queue.
-    gate: AdaptiveGate,
     /// Delivery-service actions withheld until the WAL events they
-    /// depend on are flushed (group commit), sharded by sensor.
-    gated: GatedQueue,
-    /// Delivery→execution handoff: `Deliver` events queue here during
-    /// action application and drain in batches afterwards, so the
-    /// execution stage amortizes its entry cost over a burst instead of
-    /// paying it per action.
-    exec_ring: Option<SpscRing<Event>>,
-    /// Reusable batch buffer for ring drains.
-    ring_scratch: Vec<Event>,
-    /// Deepest ring occupancy seen since the last tick gauge.
-    ring_max_depth: usize,
-    /// Ring traffic accumulated since the last tick export. Plain
-    /// fields, not recorder calls: the ring moves every delivered
-    /// event, and a string-keyed recorder update per event would cost
-    /// more than the handoff it measures. Ticks export the deltas.
-    ring_counts: RingCounts,
-    /// Ring counters already exported to the recorder (delta basis).
-    ring_reported: RingCounts,
-    /// Arena counters already exported to the recorder (delta basis).
-    arena_reported: ArenaStats,
+    /// depend on are flushed (group commit), under an adaptive bound.
+    gate: AdaptiveGate,
     /// Per-activation send queue, flushed (and coalesced) at the end of
     /// every actor activation.
     outbox: Outbox,
@@ -220,17 +198,6 @@ struct Initialized {
     /// [`OpOutput::RunRoutine`] triggers staged all-or-nothing
     /// multi-actuator firings recorded in the hash-chained ledger.
     routines: Option<RoutineEngine>,
-}
-
-/// Hot-path ring counters, exported to the recorder as deltas on
-/// process ticks (`ring.pushes` / `ring.pops` / `ring.batches` /
-/// `ring.fallbacks`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct RingCounts {
-    pushes: u64,
-    pops: u64,
-    batches: u64,
-    fallbacks: u64,
 }
 
 /// Folds a repair-counter delta into the recorder. A clean delta (the
@@ -444,18 +411,11 @@ impl RivuletProcess {
         // them) and the newest checkpoint seeds the processed
         // watermarks, so a later promotion replays only the suffix
         // beyond the checkpoint.
-        let mut gapless = GaplessState::new_sharded(
+        let mut gapless = GaplessState::new(
             me,
             self.spec.config.store_cap_per_sensor,
-            self.spec.config.store_shards,
             self.spec.config.anti_entropy,
         );
-        if self.spec.config.payload_arena {
-            // Re-home stored blob payloads that pin larger arrival
-            // frames into recycled arena chunks (recovered events
-            // included — they arrive as views into WAL segment reads).
-            gapless.store_mut().enable_arena();
-        }
         let mut processed: HashMap<SensorId, u64> = HashMap::new();
         let mut recovered_ledger: Vec<LedgerEntry> = Vec::new();
         let wal = self.spec.storage.as_ref().map(|durability| {
@@ -542,17 +502,6 @@ impl RivuletProcess {
                 self.spec.config.wal_max_gated,
                 self.spec.config.wal_adaptive_gating,
             ),
-            gated: GatedQueue::new(self.spec.config.store_shards),
-            exec_ring: self
-                .spec
-                .config
-                .exec_ring
-                .then(|| SpscRing::with_capacity(self.spec.config.exec_ring_capacity)),
-            ring_scratch: Vec::new(),
-            ring_max_depth: 0,
-            ring_counts: RingCounts::default(),
-            ring_reported: RingCounts::default(),
-            arena_reported: ArenaStats::default(),
             outbox: Outbox {
                 queue: Vec::new(),
                 groups: Vec::new(),
@@ -573,10 +522,6 @@ impl RivuletProcess {
         // (their fresh `Aborted` entries go through the WAL first).
         self.replay_routine_recovery(ctx, routine_recovery);
 
-        self.spec
-            .obs
-            .observe("store.shard.count", self.spec.config.store_shards as u64);
-
         // Arm the durability timers: the group-commit flush interval
         // (when the policy is time-based) and the checkpoint cadence.
         if let Some(durability) = &self.spec.storage {
@@ -589,7 +534,7 @@ impl RivuletProcess {
         // Kick off the periodic tick (keep-alives, failure detection,
         // election, broadcast retransmission) and polling epochs.
         self.tick(ctx);
-        let sensor_ids: Vec<SensorId> = {
+        let mut sensor_ids: Vec<SensorId> = {
             let st = self.st.as_ref().expect("initialized");
             st.sensors
                 .iter()
@@ -597,6 +542,9 @@ impl RivuletProcess {
                 .map(|(id, _)| *id)
                 .collect()
         };
+        // Epoch timers armed in `HashMap` order would order same-instant
+        // polls differently on every run.
+        sensor_ids.sort_unstable();
         for sensor in sensor_ids {
             self.epoch_boundary(ctx, sensor);
         }
@@ -679,57 +627,13 @@ impl RivuletProcess {
             self.spec
                 .obs
                 .observe("store.len", st.gapless.store().len() as u64);
-            self.spec.obs.observe(
-                "store.shard.max_len",
-                st.gapless.store().max_shard_len() as u64,
-            );
             self.spec
                 .obs
                 .observe("rbcast.pending", st.rbcast.pending_count() as u64);
-            if st.exec_ring.is_some() {
-                self.spec
-                    .obs
-                    .observe("ring.max_depth", st.ring_max_depth as u64);
-                st.ring_max_depth = 0;
-                let ring = st.ring_counts;
-                if ring != st.ring_reported {
-                    let prev = st.ring_reported;
-                    self.spec.obs.add("ring.pushes", ring.pushes - prev.pushes);
-                    self.spec.obs.add("ring.pops", ring.pops - prev.pops);
-                    self.spec
-                        .obs
-                        .add("ring.batches", ring.batches - prev.batches);
-                    self.spec
-                        .obs
-                        .add("ring.fallbacks", ring.fallbacks - prev.fallbacks);
-                    st.ring_reported = ring;
-                }
-            }
             if st.wal.is_some() {
                 self.spec
                     .obs
                     .set_gauge("wal.gated_bound", st.gate.bound() as i64);
-                self.spec
-                    .obs
-                    .observe("wal.gated_max_shard", st.gated.max_shard_depth() as u64);
-            }
-            let arena = st.gapless.store().arena_stats();
-            if arena != st.arena_reported {
-                let prev = st.arena_reported;
-                self.spec
-                    .obs
-                    .add("arena.allocs", arena.allocs - prev.allocs);
-                self.spec.obs.add("arena.bytes", arena.bytes - prev.bytes);
-                self.spec
-                    .obs
-                    .add("arena.chunks", arena.chunks - prev.chunks);
-                self.spec
-                    .obs
-                    .add("arena.recycled", arena.recycled - prev.recycled);
-                self.spec
-                    .obs
-                    .add("arena.oversize", arena.oversize - prev.oversize);
-                st.arena_reported = arena;
             }
         }
         self.apply_actions(ctx, actions);
@@ -1001,83 +905,16 @@ impl RivuletProcess {
     }
 
     /// Applies delivery-service actions (sends + local deliveries).
-    ///
-    /// With the execution ring enabled, `Deliver` actions queue their
-    /// events on the SPSC ring and the ring drains in batches after
-    /// the action loop. App processing only ever *queues* sends (via
-    /// the outbox) and actuations — it never re-enters this function —
-    /// so batching the deliveries keeps per-sensor order and the
-    /// delivered set identical to the inline path; only the handoff
-    /// cost changes.
     fn apply_actions(&mut self, ctx: &mut Context<'_>, actions: Vec<Action>) {
-        let mut queued = 0u64;
         for action in actions {
             match action {
                 Action::Send { to, msg } => self.send_proc(to, &msg),
                 Action::Fanout { to, msg } => self.send_fanout(&to, &msg),
                 Action::Deliver { event } => {
                     self.note_received(&event);
-                    let inline = {
-                        let st = self.st.as_mut().expect("initialized");
-                        match &st.exec_ring {
-                            Some(ring) => match ring.push(event) {
-                                Ok(()) => {
-                                    queued += 1;
-                                    None
-                                }
-                                // Full ring: deliver this one inline
-                                // rather than blocking or dropping, so
-                                // capacity bounds batching, never
-                                // correctness.
-                                Err(event) => {
-                                    st.ring_counts.fallbacks += 1;
-                                    Some(event)
-                                }
-                            },
-                            None => Some(event),
-                        }
-                    };
-                    if let Some(event) = inline {
-                        self.deliver_to_apps(ctx, &event);
-                    }
+                    self.deliver_to_apps(ctx, &event);
                 }
             }
-        }
-        if queued > 0 {
-            self.st.as_mut().expect("initialized").ring_counts.pushes += queued;
-            self.drain_exec_ring(ctx);
-        }
-    }
-
-    /// How many events one ring drain iteration moves at most; bounds
-    /// the scratch buffer while still amortizing the consumer's
-    /// acquire load over a burst.
-    const RING_DRAIN_BATCH: usize = 64;
-
-    /// Drains the delivery→execution ring in batches, routing each
-    /// event to the active apps. The scratch vector is recycled across
-    /// drains so steady-state batching allocates nothing.
-    fn drain_exec_ring(&mut self, ctx: &mut Context<'_>) {
-        loop {
-            let mut batch = {
-                let st = self.st.as_mut().expect("initialized");
-                let Some(ring) = &st.exec_ring else { return };
-                st.ring_max_depth = st.ring_max_depth.max(ring.len());
-                let mut scratch = std::mem::take(&mut st.ring_scratch);
-                scratch.clear();
-                if ring.pop_batch(&mut scratch, Self::RING_DRAIN_BATCH) == 0 {
-                    st.ring_scratch = scratch;
-                    return;
-                }
-                st.ring_counts.pops += scratch.len() as u64;
-                st.ring_counts.batches += 1;
-                scratch
-            };
-            for event in &batch {
-                self.deliver_to_apps(ctx, event);
-            }
-            batch.clear();
-            self.st.as_mut().expect("initialized").ring_scratch = batch;
         }
     }
 
@@ -1111,13 +948,11 @@ impl RivuletProcess {
                         if let Action::Deliver { event } = &action {
                             wal.append_event(event).expect("wal append");
                         }
-                        st.gated.push(action);
+                        st.gate.hold(action);
                     }
                     if wal.pending_events() == 0 {
-                        let mut out = Vec::new();
-                        st.gated.drain_into(&mut out);
-                        Some(out)
-                    } else if st.gated.len() >= st.gate.bound() {
+                        Some(st.gate.release())
+                    } else if st.gate.held() >= st.gate.bound() {
                         // Back-pressure: a broadcast storm outran the
                         // flush policy. Force the group commit now so
                         // gated actions (and their memory) stay
@@ -1126,9 +961,7 @@ impl RivuletProcess {
                         wal.flush().expect("wal flush");
                         st.gate.on_forced_flush();
                         self.spec.obs.inc("wal.forced_flushes");
-                        let mut out = Vec::new();
-                        st.gated.drain_into(&mut out);
-                        Some(out)
+                        Some(st.gate.release())
                     } else {
                         None
                     }
@@ -1148,14 +981,12 @@ impl RivuletProcess {
         let ready = {
             let st = self.st.as_mut().expect("initialized");
             match st.wal.as_mut() {
-                Some(wal) if wal.pending_events() > 0 || !st.gated.is_empty() => {
+                Some(wal) if wal.pending_events() > 0 || st.gate.held() > 0 => {
                     wal.flush().expect("wal flush");
                     // A timer-driven flush at low depth is the signal
                     // that bursts have subsided: walk the bound back.
-                    st.gate.on_idle_flush(st.gated.len());
-                    let mut out = Vec::new();
-                    st.gated.drain_into(&mut out);
-                    Some(out)
+                    st.gate.on_idle_flush(st.gate.held());
+                    Some(st.gate.release())
                 }
                 _ => None,
             }
@@ -1186,10 +1017,8 @@ impl RivuletProcess {
                     // The checkpoint forced a flush, so everything
                     // gated is now durable; a low-depth checkpoint also
                     // counts as an idle flush for the adaptive bound.
-                    st.gate.on_idle_flush(st.gated.len());
-                    let mut out = Vec::new();
-                    st.gated.drain_into(&mut out);
-                    Some(out)
+                    st.gate.on_idle_flush(st.gate.held());
+                    Some(st.gate.release())
                 }
             }
         };

@@ -6,127 +6,65 @@
 //! watermark queries used by successor synchronization, and computes
 //! the difference set to ship to a lagging successor.
 //!
-//! The store is sharded by sensor ([`EventStore::with_shards`]): each
-//! sensor hashes to one shard's `BTreeMap`, so the insert/seen/prune
-//! operations on the delivery hot path walk a tree holding only
-//! `sensors / shards` keys instead of one global map. Cross-sensor
-//! queries (watermarks, diffs) merge the shards back into sensor order,
-//! keeping the wire encoding deterministic regardless of shard count.
+//! Sensors live in one `BTreeMap`, so cross-sensor queries
+//! (watermarks, diffs) come out in sensor order and their wire
+//! encoding is deterministic.
+//!
+//! Stored payloads never pin an arrival frame: a blob decoded off the
+//! network is a zero-copy view into its frame, so
+//! [`EventStore::insert`] copies such a view into an exact-size buffer
+//! before retaining it.
 
 use std::collections::{BTreeMap, HashMap};
 
-use rivulet_types::{ArenaStats, Event, EventId, PayloadArena, SensorId, Time};
+use bytes::Bytes;
+use rivulet_types::{Event, EventId, Payload, SensorId, Time};
 
-type SensorShard = BTreeMap<SensorId, BTreeMap<u64, Event>>;
-
-/// A bounded, per-sensor-ordered store of replicated events, sharded by
-/// sensor.
-///
-/// Within a shard, sensors live in a `BTreeMap` so per-shard iteration
-/// is sensor-ordered for free; cross-shard queries merge the (already
-/// sorted) shard iterators so callers always observe ascending sensor
-/// order, exactly as the pre-sharding flat layout did.
+/// A bounded, per-sensor-ordered store of replicated events.
 #[derive(Debug)]
 pub struct EventStore {
-    shards: Vec<SensorShard>,
+    sensors: BTreeMap<SensorId, BTreeMap<u64, Event>>,
     cap_per_sensor: usize,
     inserted: u64,
     evicted: u64,
-    /// When attached ([`EventStore::enable_arena`]), blob payloads that
-    /// pin a larger backing buffer (views into arrival frames) are
-    /// re-homed into recycled arena chunks on insert, so a retained
-    /// 40-byte payload stops holding a kilobyte frame alive.
-    arena: Option<PayloadArena>,
 }
 
 impl EventStore {
-    /// Creates a single-shard store retaining at most `cap_per_sensor`
-    /// events per sensor (oldest evicted first). Equivalent to the
-    /// original flat layout; production processes use
-    /// [`EventStore::with_shards`].
+    /// Creates a store retaining at most `cap_per_sensor` events per
+    /// sensor (oldest evicted first).
     ///
     /// # Panics
     ///
     /// Panics if `cap_per_sensor` is zero.
     #[must_use]
     pub fn new(cap_per_sensor: usize) -> Self {
-        Self::with_shards(cap_per_sensor, 1)
-    }
-
-    /// Creates a store with `shards` sensor shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap_per_sensor` or `shards` is zero.
-    #[must_use]
-    pub fn with_shards(cap_per_sensor: usize, shards: usize) -> Self {
         assert!(cap_per_sensor > 0, "store capacity must be positive");
-        assert!(shards > 0, "store shard count must be positive");
         Self {
-            shards: (0..shards).map(|_| SensorShard::new()).collect(),
+            sensors: BTreeMap::new(),
             cap_per_sensor,
             inserted: 0,
             evicted: 0,
-            arena: None,
         }
     }
 
-    /// Attaches a payload arena: from now on, inserted events whose
-    /// blob payload pins a larger backing allocation are re-homed into
-    /// dense recycled chunks ([`PayloadArena::rehome`]).
-    pub fn enable_arena(&mut self) {
-        if self.arena.is_none() {
-            self.arena = Some(PayloadArena::new());
-        }
-    }
-
-    /// Arena allocation counters; all-zero when no arena is attached.
+    /// Same as [`EventStore::new`]; `shards` is ignored. Kept only so
+    /// the `perfbench/` benchmark still compiles.
+    #[deprecated(note = "the store is no longer sharded; use `EventStore::new`")]
     #[must_use]
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.arena
-            .as_ref()
-            .map(PayloadArena::stats)
-            .unwrap_or_default()
+    pub fn with_shards(cap_per_sensor: usize, _shards: usize) -> Self {
+        Self::new(cap_per_sensor)
     }
 
-    #[inline]
-    fn shard_index(&self, sensor: SensorId) -> usize {
-        sensor.as_u32() as usize % self.shards.len()
-    }
-
-    #[inline]
-    fn shard(&self, sensor: SensorId) -> &SensorShard {
-        &self.shards[self.shard_index(sensor)]
-    }
-
-    #[inline]
-    fn shard_mut(&mut self, sensor: SensorId) -> &mut SensorShard {
-        let i = self.shard_index(sensor);
-        &mut self.shards[i]
-    }
-
-    /// Sensor maps across all shards, ascending by sensor. With one
-    /// shard this is the shard's own iterator; with more, a k-way merge
-    /// over the per-shard (already sorted) iterators.
-    fn iter_sensors(&self) -> impl Iterator<Item = (&SensorId, &BTreeMap<u64, Event>)> {
-        let mut cursors: Vec<_> = self.shards.iter().map(|s| s.iter().peekable()).collect();
-        std::iter::from_fn(move || {
-            let mut best: Option<(usize, SensorId)> = None;
-            for (i, c) in cursors.iter_mut().enumerate() {
-                if let Some((sensor, _)) = c.peek() {
-                    if best.is_none_or(|(_, k)| **sensor < k) {
-                        best = Some((i, **sensor));
-                    }
-                }
-            }
-            best.and_then(|(i, _)| cursors[i].next())
-        })
-    }
+    /// Does nothing: [`EventStore::insert`] always compacts
+    /// frame-pinning payloads. Kept only so the `perfbench/`
+    /// benchmark still compiles.
+    #[deprecated(note = "payload compaction is always on")]
+    pub fn enable_arena(&mut self) {}
 
     /// Whether the event identified by `id` has been stored before.
     #[must_use]
     pub fn seen(&self, id: EventId) -> bool {
-        self.shard(id.sensor)
+        self.sensors
             .get(&id.sensor)
             .is_some_and(|m| m.contains_key(&id.seq))
     }
@@ -134,29 +72,23 @@ impl EventStore {
     /// Inserts `event`; returns `true` if it was new, `false` if it was
     /// a duplicate (in which case the store is unchanged).
     pub fn insert(&mut self, mut event: Event) -> bool {
-        let cap = self.cap_per_sensor;
-        let mut evicted = 0u64;
-        {
-            let shard = self.shard_index(event.id.sensor);
-            let per = self.shards[shard].entry(event.id.sensor).or_default();
-            if per.contains_key(&event.id.seq) {
-                return false;
-            }
-            // Re-home only *retained* payloads (duplicates bailed out
-            // above): the copy happens once per stored event, off the
-            // dedup fast path.
-            if let Some(arena) = &mut self.arena {
-                event.payload = arena.rehome(event.payload);
-            }
-            per.insert(event.id.seq, event);
-            while per.len() > cap {
-                let oldest = *per.keys().next().expect("non-empty");
-                per.remove(&oldest);
-                evicted += 1;
+        let per = self.sensors.entry(event.id.sensor).or_default();
+        if per.contains_key(&event.id.seq) {
+            return false;
+        }
+        // Only retained payloads are copied (duplicates bailed out
+        // above), and only views that keep a larger buffer alive.
+        if let Payload::Blob(b) = &event.payload {
+            if b.backing_len() > b.len() {
+                event.payload = Payload::Blob(Bytes::copy_from_slice(b));
             }
         }
+        per.insert(event.id.seq, event);
+        while per.len() > self.cap_per_sensor {
+            per.pop_first();
+            self.evicted += 1;
+        }
         self.inserted += 1;
-        self.evicted += evicted;
         true
     }
 
@@ -164,14 +96,13 @@ impl EventStore {
     /// Bayou-style watermark exchanged during successor sync.
     #[must_use]
     pub fn watermark(&self, sensor: SensorId) -> Option<u64> {
-        self.shard(sensor)
+        self.sensors
             .get(&sensor)
             .and_then(|m| m.keys().next_back().copied())
     }
 
-    /// All `(sensor, watermark)` pairs, ascending by sensor — the shard
-    /// merge yields sensor order directly, so the wire encoding is
-    /// deterministic without a separate sort.
+    /// All `(sensor, watermark)` pairs, ascending by sensor, so the
+    /// wire encoding is deterministic without a separate sort.
     #[must_use]
     pub fn watermarks(&self) -> Vec<(SensorId, u64)> {
         self.iter_watermarks().collect()
@@ -180,7 +111,8 @@ impl EventStore {
     /// Iterates `(sensor, watermark)` pairs ascending by sensor without
     /// materializing a `Vec`.
     pub fn iter_watermarks(&self) -> impl Iterator<Item = (SensorId, u64)> + '_ {
-        self.iter_sensors()
+        self.sensors
+            .iter()
             .filter_map(|(s, m)| m.keys().next_back().map(|q| (*s, *q)))
     }
 
@@ -188,7 +120,7 @@ impl EventStore {
     /// `after` (or all if `after` is `None`), ascending.
     #[must_use]
     pub fn events_after(&self, sensor: SensorId, after: Option<u64>) -> Vec<Event> {
-        let Some(per) = self.shard(sensor).get(&sensor) else {
+        let Some(per) = self.sensors.get(&sensor) else {
             return Vec::new();
         };
         match after {
@@ -211,9 +143,7 @@ impl EventStore {
     pub fn diff_for(&self, peer_watermarks: &[(SensorId, u64)]) -> Vec<Event> {
         let peer: HashMap<SensorId, u64> = peer_watermarks.iter().copied().collect();
         let mut out = Vec::new();
-        // The shard merge is already sensor-ordered; per-sensor ranges
-        // stream straight into the output with no intermediate Vec.
-        for (sensor, per) in self.iter_sensors() {
+        for (sensor, per) in &self.sensors {
             match peer.get(sensor) {
                 None => out.extend(per.values().cloned()),
                 Some(&wm) => out.extend(per.range(wm.saturating_add(1)..).map(|(_, e)| e.clone())),
@@ -233,7 +163,7 @@ impl EventStore {
     /// weight. Production GC uses [`EventStore::prune_processed`],
     /// which additionally age-guards against straggler duplicates.
     pub fn prune_through(&mut self, sensor: SensorId, upto: u64) -> usize {
-        let Some(per) = self.shard_mut(sensor).get_mut(&sensor) else {
+        let Some(per) = self.sensors.get_mut(&sensor) else {
             return 0;
         };
         let removed = if upto == u64::MAX {
@@ -259,7 +189,7 @@ impl EventStore {
     /// retransmission, or anti-entropy refill) still hits the store's
     /// duplicate check instead of being re-delivered to applications.
     pub fn prune_processed(&mut self, sensor: SensorId, upto: u64, emitted_before: Time) -> usize {
-        let Some(per) = self.shard_mut(sensor).get_mut(&sensor) else {
+        let Some(per) = self.sensors.get_mut(&sensor) else {
             return 0;
         };
         let doomed: Vec<u64> = per
@@ -289,34 +219,13 @@ impl EventStore {
     /// Current number of retained events across all sensors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.values())
-            .map(BTreeMap::len)
-            .sum()
+        self.sensors.values().map(BTreeMap::len).sum()
     }
 
     /// Whether the store holds no events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of sensor shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Retained events in the fullest shard — the load-balance gauge
-    /// exported as `store.shard.max_len`.
-    #[must_use]
-    pub fn max_shard_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.values().map(BTreeMap::len).sum())
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -421,43 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_matches_flat_semantics() {
-        // The same event stream through 1-shard and 8-shard stores must
-        // be observationally identical on every query path.
-        let mut flat = EventStore::new(10);
-        let mut sharded = EventStore::with_shards(10, 8);
-        assert_eq!(sharded.shard_count(), 8);
-        for sensor in [13u32, 2, 8, 21, 5, 16] {
-            for seq in [3u64, 0, 7] {
-                assert_eq!(
-                    flat.insert(ev(sensor, seq)),
-                    sharded.insert(ev(sensor, seq))
-                );
-            }
-        }
-        assert!(
-            !sharded.insert(ev(2, 0)),
-            "duplicate rejected across shards"
-        );
-        assert_eq!(flat.len(), sharded.len());
-        assert_eq!(flat.watermarks(), sharded.watermarks());
-        let peer = [(SensorId(2), 3), (SensorId(16), 0)];
-        let ids = |evs: Vec<Event>| -> Vec<(u32, u64)> {
-            evs.iter()
-                .map(|e| (e.id.sensor.as_u32(), e.id.seq))
-                .collect()
-        };
-        assert_eq!(ids(flat.diff_for(&peer)), ids(sharded.diff_for(&peer)));
-        assert_eq!(
-            flat.prune_through(SensorId(13), 3),
-            sharded.prune_through(SensorId(13), 3)
-        );
-        assert_eq!(flat.watermarks(), sharded.watermarks());
-        assert!(sharded.max_shard_len() <= sharded.len());
-        assert!(sharded.max_shard_len() >= sharded.len().div_ceil(8));
-    }
-
-    #[test]
     fn capacity_evicts_oldest() {
         let mut s = EventStore::new(3);
         for seq in 0..5 {
@@ -532,50 +404,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "store shard count must be positive")]
-    fn zero_shards_panics() {
-        let _ = EventStore::with_shards(10, 0);
-    }
-
-    #[test]
-    fn arena_rehomes_frame_pinning_payloads() {
-        use bytes::Bytes;
-        use rivulet_types::Payload;
+    fn stored_payloads_never_pin_a_frame() {
+        let blob = |s: &EventStore, sensor: u32| -> Bytes {
+            match &s.events_after(SensorId(sensor), None)[0].payload {
+                Payload::Blob(b) => b.clone(),
+                other => panic!("blob stays blob, got {other:?}"),
+            }
+        };
         let mut s = EventStore::new(10);
-        s.enable_arena();
-        assert_eq!(s.arena_stats(), ArenaStats::default());
-        // A payload sliced out of a big "frame" (larger than an arena
-        // chunk, so the chunk's own backing is the smaller home) pins
-        // the whole frame until re-homed.
-        let frame = Bytes::from(vec![3u8; 128 * 1024]);
+        // A 40-byte view sliced out of a 4 KiB arrival frame is copied
+        // into a buffer of exactly its own size.
+        let frame = Bytes::from(vec![3u8; 4096]);
         let view = frame.slice_ref(&frame[10..50]);
         let mut e = ev(1, 0);
         e.payload = Payload::Blob(view.clone());
         assert!(s.insert(e));
-        let stored = &s.events_after(SensorId(1), None)[0];
-        let Payload::Blob(b) = &stored.payload else {
-            panic!("blob stays blob");
-        };
-        assert_eq!(*b, view, "payload bytes preserved");
-        assert!(
-            b.backing_len() < frame.len(),
-            "stored payload no longer pins the arrival frame"
-        );
-        assert_eq!(s.arena_stats().allocs, 1);
-        // A duplicate is rejected before any arena work.
+        let stored = blob(&s, 1);
+        assert_eq!(stored, view, "payload bytes preserved");
+        assert_eq!(stored.backing_len(), stored.len(), "frame released");
+        // A blob that owns its whole backing is kept as is.
+        let whole = Bytes::from(vec![7u8; 64]);
+        let mut e = ev(2, 0);
+        e.payload = Payload::Blob(whole.clone());
+        assert!(s.insert(e));
+        assert_eq!(blob(&s, 2).as_ptr(), whole.as_ptr(), "no copy");
+        // A duplicate is rejected before any copy: the stored payload
+        // is still the first insert's buffer.
         let mut dup = ev(1, 0);
         dup.payload = Payload::Blob(frame.slice_ref(&frame[10..50]));
         assert!(!s.insert(dup));
-        assert_eq!(s.arena_stats().allocs, 1, "no copy for duplicates");
-        // Without an arena the view passes through untouched.
-        let mut plain = EventStore::new(10);
-        let mut e2 = ev(2, 0);
-        e2.payload = Payload::Blob(frame.slice_ref(&frame[10..50]));
-        assert!(plain.insert(e2));
-        let Payload::Blob(kept) = &plain.events_after(SensorId(2), None)[0].payload else {
-            panic!();
-        };
-        assert_eq!(kept.backing_len(), frame.len(), "baseline pins the frame");
+        assert_eq!(blob(&s, 1).as_ptr(), stored.as_ptr());
+        assert_eq!(s.inserted(), 2);
     }
 
     #[test]
@@ -584,7 +443,6 @@ mod tests {
         assert!(s.is_empty());
         assert!(s.watermarks().is_empty());
         assert!(s.diff_for(&[]).is_empty());
-        assert_eq!(s.max_shard_len(), 0);
     }
 }
 
@@ -648,27 +506,6 @@ mod proptests {
             let ia: Vec<u64> = a.events_after(SensorId(1), None).iter().map(|e| e.id.seq).collect();
             let ib: Vec<u64> = b.events_after(SensorId(1), None).iter().map(|e| e.id.seq).collect();
             prop_assert_eq!(ia, ib);
-        }
-
-        /// A sharded store is observationally identical to the flat
-        /// (single-shard) layout for any insert sequence.
-        #[test]
-        fn sharding_is_transparent(
-            inserts in proptest::collection::vec((0u32..16, 0u64..60), 0..120),
-            shards in 1usize..9,
-        ) {
-            let mut flat = EventStore::new(50);
-            let mut sharded = EventStore::with_shards(50, shards);
-            for (s, q) in &inserts {
-                prop_assert_eq!(flat.insert(ev(*s, *q)), sharded.insert(ev(*s, *q)));
-            }
-            prop_assert_eq!(flat.len(), sharded.len());
-            prop_assert_eq!(flat.watermarks(), sharded.watermarks());
-            prop_assert_eq!(flat.inserted(), sharded.inserted());
-            let peer = [(SensorId(3), 20), (SensorId(11), 5)];
-            let fa: Vec<EventId> = flat.diff_for(&peer).iter().map(|e| e.id).collect();
-            let sa: Vec<EventId> = sharded.diff_for(&peer).iter().map(|e| e.id).collect();
-            prop_assert_eq!(fa, sa);
         }
     }
 }

@@ -1,16 +1,7 @@
-//! Integration tests for the round-3 hot-path optimizations: the
-//! SPSC delivery→execution ring, the event-payload arena, and
-//! adaptive WAL gating. Each knob must change *how* events move
+//! Integration tests for the hot-path knob that survived the round-3
+//! ablation: adaptive WAL gating. It must change *how* events move
 //! through a process, never *what* gets delivered — and a seeded run
-//! must stay fully deterministic with all of them enabled (the
-//! defaults).
-//!
-//! Note the comparison across ring on/off is over the delivered event
-//! *set*, not the full trace: deferring deliveries to the post-loop
-//! ring drain reorders outbox entries relative to app output, so
-//! message interleavings (and therefore delivery micros) may differ
-//! between configurations. Within one configuration, same-seed runs
-//! are byte-identical.
+//! must stay fully deterministic with the defaults.
 
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
 use rivulet::core::delivery::Delivery;
@@ -37,8 +28,8 @@ fn noop() -> impl Fn(&mut OpCtx, &CombinedWindows) + Send + Sync {
 
 /// Three hosts; a scripted door sensor with 512-byte payloads heard by
 /// hosts 1 and 2; app anchored at host 0. Blob payloads matter here:
-/// they arrive as zero-copy views into network frames, which is what
-/// the arena re-homes.
+/// they arrive as zero-copy views into network frames, which the event
+/// store compacts.
 fn scripted_home(script: Vec<Time>, config: RivuletConfig, seed: u64) -> Setup {
     let mut net = SimNet::new(SimConfig::with_seed(seed));
     let mut home = HomeBuilder::new(&mut net).with_config(config);
@@ -86,66 +77,11 @@ fn delivered_seqs(probe: &AppProbe) -> Vec<u64> {
     seqs
 }
 
-/// A faulty run: one receiver link drops an event and the tv process
-/// crashes and recovers mid-stream, exercising ring forwarding,
-/// anti-entropy sync, and retransmission — the paths that feed the
-/// execution ring and arena. Returns (delivered seqs, unique count).
-fn faulty_run(config: RivuletConfig, seed: u64) -> (Vec<u64>, usize) {
-    let script: Vec<Time> = (1..=25).map(|i| Time::from_millis(400 * i)).collect();
-    let mut s = scripted_home(script, config, seed);
-    let dev = s.home.sensor_actor(s.sensor);
-    let tv = s.home.actor_of(s.pids[1]);
-    s.net
-        .set_blocked_at(Time::from_millis(1_900), dev, tv, true);
-    s.net
-        .set_blocked_at(Time::from_millis(2_100), dev, tv, false);
-    s.net.crash_at(tv, Time::from_secs(4));
-    s.net.recover_at(tv, Time::from_secs(8));
-    s.net.run_until(Time::from_secs(16));
-    (delivered_seqs(&s.probe), s.probe.unique_delivered())
-}
-
-#[test]
-fn exec_ring_on_and_off_deliver_identical_sets() {
-    let on = faulty_run(RivuletConfig::default().with_exec_ring(true), 21);
-    let off = faulty_run(RivuletConfig::default().with_exec_ring(false), 21);
-    assert_eq!(on.0, off.0, "delivered event sets must match");
-    assert_eq!(on.1, off.1);
-    assert!(!on.0.is_empty(), "the run delivered something");
-}
-
-#[test]
-fn payload_arena_on_and_off_deliver_identical_sets() {
-    let on = faulty_run(RivuletConfig::default().with_payload_arena(true), 23);
-    let off = faulty_run(RivuletConfig::default().with_payload_arena(false), 23);
-    assert_eq!(on.0, off.0, "delivered event sets must match");
-    assert_eq!(on.1, off.1);
-}
-
-#[test]
-fn ring_and_arena_both_off_match_both_on() {
-    // The full round-3 bundle against the PR 6 configuration.
-    let on = faulty_run(
-        RivuletConfig::default()
-            .with_exec_ring(true)
-            .with_payload_arena(true),
-        27,
-    );
-    let off = faulty_run(
-        RivuletConfig::default()
-            .with_exec_ring(false)
-            .with_payload_arena(false),
-        27,
-    );
-    assert_eq!(on.0, off.0, "delivered event sets must match");
-    assert_eq!(on.1, off.1);
-}
-
 #[test]
 fn seeded_run_with_round3_defaults_is_byte_identical() {
-    // Full determinism with ring + arena + adaptive gating enabled
-    // (the defaults): two same-seed runs must agree on every delivery
-    // timestamp and every network counter, not just the delivered set.
+    // Full determinism with the defaults: two same-seed runs must
+    // agree on every delivery timestamp and every network counter,
+    // not just the delivered set.
     let trace = |seed: u64| {
         let script: Vec<Time> = (1..=15).map(|i| Time::from_millis(600 * i)).collect();
         let mut s = scripted_home(script, RivuletConfig::default(), seed);
@@ -219,8 +155,5 @@ fn adaptive_gating_on_and_off_deliver_identical_sets() {
 #[test]
 fn defaults_enable_the_round3_optimizations() {
     let config = RivuletConfig::default();
-    assert!(config.exec_ring);
-    assert!(config.payload_arena);
     assert!(config.wal_adaptive_gating);
-    assert!(config.exec_ring_capacity > 0);
 }
