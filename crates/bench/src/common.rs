@@ -79,8 +79,8 @@ pub struct DeliveryScenario {
     /// `perfbench/` benchmark still compiles.
     #[deprecated(note = "the payload arena was removed; this field is ignored")]
     pub payload_arena: bool,
-    /// Adaptive WAL group-commit gating (off pins the fixed
-    /// `wal_max_gated` bound).
+    /// Adaptive WAL group-commit gating (off pins the bound at
+    /// [`rivulet_core::gating::INITIAL_BOUND`]).
     pub wal_adaptive: bool,
     /// Enable the observability recorder for this run (figures read
     /// their numbers from the resulting [`ObsSnapshot`]).

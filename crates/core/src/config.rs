@@ -22,50 +22,42 @@ pub enum AckMode {
     /// beacon retire pending retransmissions cumulatively: one beacon
     /// acknowledges every broadcast the peer has durably received, so
     /// no per-event ack messages exist on the wire. Acknowledgement
-    /// latency is bounded by the keep-alive interval, which equals the
-    /// retransmit interval by default — at most one redundant
-    /// retransmission in the worst case.
+    /// latency is bounded by the keep-alive interval, which is also the
+    /// retransmit interval — at most one redundant retransmission in
+    /// the worst case.
     Cumulative,
     /// The original protocol: every `Broadcast` receipt immediately
-    /// sends a dedicated `BroadcastAck`. Kept as a fallback for
-    /// experiments that measure per-event acknowledgement latency
-    /// (Fig. 7 failover timing).
+    /// sends a dedicated `BroadcastAck`. No paper figure uses it; it is
+    /// the unoptimized twin of the fan-out benchmark, one value of the
+    /// fleet manifests' `ack_mode` axis, and the reference side of the
+    /// ack-mode equivalence tests.
     PerEvent,
 }
 
 /// Tunable parameters of a Rivulet process.
 ///
 /// Defaults follow the paper's evaluation setup: keep-alives every
-/// 500 ms and a 2-second failure-detection threshold (§8.4).
+/// 500 ms and a 2-second failure-detection threshold (§8.4). Values
+/// the paper does not vary are constants next to the code that reads
+/// them (store cap and GC in `process`, re-poll margin in
+/// `delivery::polling`, the initial group-commit bound in `gating`,
+/// the repair thresholds in `repair`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RivuletConfig {
     /// Interval between keep-alive messages to every peer (§4.1's
-    /// "every *t* seconds").
+    /// "every *t* seconds"). Reliable-broadcast floods retransmit at
+    /// the same pace.
     pub keepalive_interval: Duration,
     /// Silence threshold after which a peer is suspected crashed. The
     /// evaluation uses 2 s, producing the ~20-event gap of Fig. 7.
     pub failure_timeout: Duration,
-    /// Interval between reliable-broadcast retransmissions for
-    /// unacknowledged events.
-    pub rbcast_retransmit: Duration,
     /// Whether a process that gains a new ring successor synchronizes
     /// its event store with it (§4.1, Bayou-style). Disabling this is
     /// an ablation that demonstrates permanent gaps after partitions.
     pub anti_entropy: bool,
-    /// Cap on events retained per sensor in the replication store;
-    /// oldest events are evicted first. Home-scale memory bound.
-    pub store_cap_per_sensor: usize,
-    /// Extra wait beyond a sensor's poll latency before a poll is
-    /// considered failed and retried (Gapless polling only).
-    pub repoll_margin: Duration,
     /// Gapless replication protocol (ring, or the broadcast baseline
     /// used for the Fig. 5 comparison).
     pub forwarding: ForwardingMode,
-    /// Whether replicated events below the home-wide processed
-    /// watermark are garbage-collected from the store each tick. They
-    /// can never be needed by a failover replay again; disabling this
-    /// keeps full history (useful for debugging).
-    pub store_gc: bool,
     /// Whether messages queued to the same destination within one actor
     /// activation are coalesced into a single multi-command frame.
     /// Batching points derive from virtual-time activations only, so
@@ -76,18 +68,11 @@ pub struct RivuletConfig {
     /// How broadcast deliveries are acknowledged (cumulative watermarks
     /// by default; per-event acks as a fallback).
     pub ack_mode: AckMode,
-    /// Durability back-pressure: when this many actions are gated
-    /// behind un-flushed WAL appends, the process forces a group commit
-    /// instead of waiting for the flush policy's own trigger. Bounds
-    /// gated-queue growth (and flush latency) under broadcast storms.
-    /// With [`RivuletConfig::wal_adaptive_gating`] this is the
-    /// *initial* bound; the live bound then tracks observed burst
-    /// depth.
-    pub wal_max_gated: usize,
-    /// Whether the group-commit bound adapts to load: repeated forced
-    /// flushes (bursts) grow it so commits stay batched, idle flushes
-    /// at low depth shrink it back so latency stays bounded. Disabled,
-    /// the bound is pinned at `wal_max_gated`.
+    /// Whether the durability group-commit bound adapts to load:
+    /// repeated forced flushes (bursts) grow it so commits stay
+    /// batched, idle flushes at low depth shrink it back so latency
+    /// stays bounded. Disabled, the bound is pinned at its initial
+    /// value (see [`crate::gating`]).
     pub wal_adaptive_gating: bool,
     /// Master switch for the device-fault detection + repair layer
     /// (per-sensor health models, outlier substitution, quarantine,
@@ -95,19 +80,6 @@ pub struct RivuletConfig {
     /// runtime allocates no health state and writes no `repair.*`
     /// counters, and runs are bit-identical to pre-repair builds.
     pub repair: bool,
-    /// Exact-repeat run length after which a scalar sensor is judged
-    /// stuck and its readings become untrusted.
-    pub repair_stuck_run: u32,
-    /// Absolute disagreement from the healthy-peer midpoint
-    /// (Marzullo) beyond which a reading is an outlier and is
-    /// substituted/dropped.
-    pub repair_disagreement: f64,
-    /// Outliers tolerated from one sensor before it is quarantined
-    /// (all further events from it are dropped at delivery).
-    pub repair_outlier_quarantine: u32,
-    /// Silence threshold after which a *pollable* sensor is considered
-    /// stalled and re-polled through the polling service.
-    pub repair_stall_timeout: Duration,
     /// Master switch for the routine execution engine (all-or-nothing
     /// multi-actuator command sequences, staged two-phase against the
     /// hash-chained execution-integrity ledger). **Off by default**:
@@ -129,21 +101,12 @@ impl Default for RivuletConfig {
         Self {
             keepalive_interval: Duration::from_millis(500),
             failure_timeout: Duration::from_secs(2),
-            rbcast_retransmit: Duration::from_millis(500),
             anti_entropy: true,
-            store_cap_per_sensor: 100_000,
-            repoll_margin: Duration::from_millis(200),
             forwarding: ForwardingMode::Ring,
-            store_gc: true,
             coalescing: true,
             ack_mode: AckMode::Cumulative,
-            wal_max_gated: 512,
             wal_adaptive_gating: true,
             repair: false,
-            repair_stuck_run: 6,
-            repair_disagreement: 4.0,
-            repair_outlier_quarantine: 10,
-            repair_stall_timeout: Duration::from_secs(2),
             routines: false,
             routine_stage_timeout: Duration::from_secs(2),
             routine_ledger_seed: 0,
@@ -177,14 +140,6 @@ impl RivuletConfig {
     #[must_use]
     pub fn with_forwarding(mut self, mode: ForwardingMode) -> Self {
         self.forwarding = mode;
-        self
-    }
-
-    /// Returns a config with store garbage collection enabled or
-    /// disabled.
-    #[must_use]
-    pub fn with_store_gc(mut self, enabled: bool) -> Self {
-        self.store_gc = enabled;
         self
     }
 
@@ -238,41 +193,6 @@ impl RivuletConfig {
         self
     }
 
-    /// Returns a config with the stuck-run detection length replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run` is < 2 (a single repeat is normal behaviour).
-    #[must_use]
-    pub fn with_repair_stuck_run(mut self, run: u32) -> Self {
-        assert!(run >= 2, "stuck run must be at least 2");
-        self.repair_stuck_run = run;
-        self
-    }
-
-    /// Returns a config with the outlier disagreement threshold
-    /// replaced.
-    #[must_use]
-    pub fn with_repair_disagreement(mut self, threshold: f64) -> Self {
-        self.repair_disagreement = threshold;
-        self
-    }
-
-    /// Returns a config with the quarantine outlier budget replaced.
-    #[must_use]
-    pub fn with_repair_outlier_quarantine(mut self, outliers: u32) -> Self {
-        self.repair_outlier_quarantine = outliers;
-        self
-    }
-
-    /// Returns a config with the sensor-stall re-poll threshold
-    /// replaced.
-    #[must_use]
-    pub fn with_repair_stall_timeout(mut self, timeout: Duration) -> Self {
-        self.repair_stall_timeout = timeout;
-        self
-    }
-
     /// Returns a config with the routine execution engine enabled or
     /// disabled.
     #[must_use]
@@ -304,6 +224,9 @@ impl RivuletConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::polling::REPOLL_MARGIN;
+    use crate::gating::INITIAL_BOUND;
+    use crate::repair::{DISAGREEMENT, QUARANTINE_BUDGET, STALL_TIMEOUT, STUCK_RUN};
 
     #[test]
     fn defaults_match_paper() {
@@ -313,16 +236,19 @@ mod tests {
         assert!(c.anti_entropy);
         assert!(c.coalescing, "coalescing is on by default");
         assert_eq!(c.ack_mode, AckMode::Cumulative);
-        assert!(c.wal_max_gated > 0);
         assert!(c.wal_adaptive_gating, "adaptive gating on by default");
         assert!(!c.repair, "repair layer is opt-in");
-        assert!(c.repair_stuck_run >= 2);
-        assert!(c.repair_disagreement > 0.0);
-        assert!(c.repair_outlier_quarantine > 0);
-        assert!(c.repair_stall_timeout > Duration::ZERO);
         assert!(!c.routines, "routine engine is opt-in");
         assert!(c.routine_stage_timeout > Duration::ZERO);
         assert_eq!(c.routine_ledger_seed, 0);
+        // Values the paper never varies, fixed as constants.
+        assert_eq!(crate::process::STORE_CAP_PER_SENSOR, 100_000);
+        assert_eq!(REPOLL_MARGIN, Duration::from_millis(200));
+        assert_eq!(INITIAL_BOUND, 512);
+        assert_eq!(STUCK_RUN, 6);
+        assert!((DISAGREEMENT - 4.0).abs() < f64::EPSILON);
+        assert_eq!(QUARANTINE_BUDGET, 10);
+        assert_eq!(STALL_TIMEOUT, Duration::from_secs(2));
     }
 
     #[test]
@@ -340,27 +266,6 @@ mod tests {
     #[should_panic(expected = "stage timeout must be positive")]
     fn zero_stage_timeout_panics() {
         let _ = RivuletConfig::default().with_routine_stage_timeout(Duration::ZERO);
-    }
-
-    #[test]
-    fn repair_builders() {
-        let c = RivuletConfig::default()
-            .with_repair(true)
-            .with_repair_stuck_run(4)
-            .with_repair_disagreement(2.5)
-            .with_repair_outlier_quarantine(3)
-            .with_repair_stall_timeout(Duration::from_secs(1));
-        assert!(c.repair);
-        assert_eq!(c.repair_stuck_run, 4);
-        assert!((c.repair_disagreement - 2.5).abs() < f64::EPSILON);
-        assert_eq!(c.repair_outlier_quarantine, 3);
-        assert_eq!(c.repair_stall_timeout, Duration::from_secs(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "stuck run must be at least 2")]
-    fn tiny_stuck_run_panics() {
-        let _ = RivuletConfig::default().with_repair_stuck_run(1);
     }
 
     #[test]

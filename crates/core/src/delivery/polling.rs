@@ -15,6 +15,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rivulet_types::{Duration, SensorId};
 
+/// Extra wait beyond a sensor's poll latency before a coordinated poll
+/// is considered failed and retried.
+pub const REPOLL_MARGIN: Duration = Duration::from_millis(200);
+
 /// How polls are scheduled within an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PollStrategy {

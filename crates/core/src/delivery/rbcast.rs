@@ -20,10 +20,11 @@
 //! closes the window where a ring message dies on a crashed hop and no
 //! surviving process ever meets the paper's stall condition.
 //!
-//! The pending map is sharded by sensor: cumulative acks retire one
-//! `seq <= watermark` range per sensor instead of scanning every
-//! pending broadcast, so retirement cost tracks the events actually
-//! covered rather than the total backlog.
+//! The pending map is one `BTreeMap` keyed by [`EventId`], which orders
+//! by `(sensor, seq)`: a cumulative ack retires the contiguous range
+//! `(sensor, 0)..=(sensor, watermark)` per sensor instead of scanning
+//! every pending broadcast, so retirement cost tracks the events
+//! actually covered rather than the total backlog.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -38,15 +39,12 @@ use super::Action;
 pub struct RbcastState {
     me: ProcessId,
     /// Broadcasts this process originated (or relayed) and ring-origin
-    /// replication entries that still await acknowledgements, sharded
-    /// by sensor. Ordered so retransmission order is a pure function of
-    /// protocol state (determinism).
-    pending: BTreeMap<SensorId, BTreeMap<u64, PendingBroadcast>>,
-    /// Total entries across all sensors (kept so `pending_count` stays
-    /// O(1) despite the sharding).
-    n_pending: usize,
+    /// replication entries that still await acknowledgements. Ordered
+    /// so retransmission order is a pure function of protocol state
+    /// (determinism).
+    pending: BTreeMap<EventId, PendingBroadcast>,
     /// Events this process has already relayed, to bound re-flooding.
-    /// Sharded like `pending` so watermark GC prunes it by range.
+    /// Kept per sensor so watermark GC prunes it with `split_off`.
     relayed: BTreeMap<SensorId, BTreeSet<u64>>,
     /// Pause before re-flooding an explicit broadcast.
     retransmit_after: Duration,
@@ -73,7 +71,6 @@ impl RbcastState {
         Self {
             me,
             pending: BTreeMap::new(),
-            n_pending: 0,
             relayed: BTreeMap::new(),
             retransmit_after: Duration::ZERO,
             track_grace: Duration::ZERO,
@@ -93,22 +90,18 @@ impl RbcastState {
     /// Number of broadcasts still awaiting acknowledgements.
     #[must_use]
     pub fn pending_count(&self) -> usize {
-        self.n_pending
+        self.pending.len()
     }
 
     fn insert_pending(&mut self, event: Event, unacked: BTreeSet<ProcessId>, retransmit_at: Time) {
-        let id = event.id;
-        let prior = self.pending.entry(id.sensor).or_default().insert(
-            id.seq,
+        self.pending.insert(
+            event.id,
             PendingBroadcast {
                 event,
                 unacked,
                 retransmit_at,
             },
         );
-        if prior.is_none() {
-            self.n_pending += 1;
-        }
     }
 
     /// Initiates (or re-initiates) a broadcast of `event` to every peer
@@ -139,11 +132,7 @@ impl RbcastState {
     /// unacked after the track grace period is re-flooded by
     /// [`RbcastState::on_tick`] (the silent-stall fallback).
     pub fn track(&mut self, event: Event, view: &[ProcessId], now: Time) {
-        if self
-            .pending
-            .get(&event.id.sensor)
-            .is_some_and(|m| m.contains_key(&event.id.seq))
-        {
+        if self.pending.contains_key(&event.id) {
             return; // already pending (e.g. an explicit flood)
         }
         let peers: BTreeSet<ProcessId> = view.iter().copied().filter(|p| *p != self.me).collect();
@@ -189,32 +178,13 @@ impl RbcastState {
         actions
     }
 
-    fn remove_pending(&mut self, id: EventId) {
-        if let Some(per) = self.pending.get_mut(&id.sensor) {
-            if per.remove(&id.seq).is_some() {
-                self.n_pending -= 1;
-            }
-            if per.is_empty() {
-                self.pending.remove(&id.sensor);
-            }
-        }
-    }
-
     /// A peer acknowledged one of our broadcasts.
     pub fn on_ack(&mut self, id: EventId, from: ProcessId) {
-        let done = match self
-            .pending
-            .get_mut(&id.sensor)
-            .and_then(|m| m.get_mut(&id.seq))
-        {
-            Some(p) => {
-                p.unacked.remove(&from);
-                p.unacked.is_empty()
+        if let Some(p) = self.pending.get_mut(&id) {
+            p.unacked.remove(&from);
+            if p.unacked.is_empty() {
+                self.pending.remove(&id);
             }
-            None => false,
-        };
-        if done {
-            self.remove_pending(id);
         }
     }
 
@@ -224,39 +194,33 @@ impl RbcastState {
     /// beacon retires arbitrarily many per-event acks. Returns how many
     /// pending entries this ack retired for `from`.
     ///
-    /// The pending shard for each sensor is scanned only up to the
-    /// peer's watermark (`range(..=wm)`), so the cost is proportional
-    /// to the entries actually covered, not the whole backlog.
+    /// Each sensor's pending entries are scanned only up to the peer's
+    /// watermark (one `EventId` range), so the cost is proportional to
+    /// the entries actually covered, not the whole backlog.
     ///
     /// Retirement is by *highest received* seq, consistent with the
     /// Bayou-style sync the store already implements: anti-entropy
     /// never back-fills below a peer's watermark, so retransmitting
     /// below it could never terminate and acking it loses nothing.
     pub fn on_cumulative_ack(&mut self, from: ProcessId, received: &[(SensorId, u64)]) -> usize {
-        if self.n_pending == 0 || received.is_empty() {
+        if self.pending.is_empty() {
             return 0;
         }
         let mut retired = 0;
-        for (sensor, wm) in received {
-            let Some(per) = self.pending.get_mut(sensor) else {
-                continue;
-            };
-            let mut done: Vec<u64> = Vec::new();
-            for (seq, p) in per.range_mut(..=*wm) {
+        let mut done: Vec<EventId> = Vec::new();
+        for &(sensor, wm) in received {
+            let covered = EventId::new(sensor, 0)..=EventId::new(sensor, wm);
+            for (id, p) in self.pending.range_mut(covered) {
                 if p.unacked.remove(&from) {
                     retired += 1;
                 }
                 if p.unacked.is_empty() {
-                    done.push(*seq);
+                    done.push(*id);
                 }
             }
-            for seq in done {
-                per.remove(&seq);
-                self.n_pending -= 1;
-            }
-            if per.is_empty() {
-                self.pending.remove(sensor);
-            }
+        }
+        for id in done {
+            self.pending.remove(&id);
         }
         retired
     }
@@ -272,29 +236,23 @@ impl RbcastState {
         let mut actions = Vec::new();
         let me = self.me;
         let retransmit_after = self.retransmit_after;
-        let mut dropped = 0usize;
-        for per in self.pending.values_mut() {
-            per.retain(|_, p| {
-                p.unacked.retain(|peer| view.contains(peer));
-                if p.unacked.is_empty() {
-                    dropped += 1;
-                    return false;
-                }
-                if now >= p.retransmit_at {
-                    p.retransmit_at = now + retransmit_after;
-                    actions.push(Action::Fanout {
-                        to: p.unacked.iter().copied().collect(),
-                        msg: ProcMsg::Broadcast {
-                            event: p.event.clone(),
-                            origin: me,
-                        },
-                    });
-                }
-                true
-            });
-        }
-        self.pending.retain(|_, per| !per.is_empty());
-        self.n_pending -= dropped;
+        self.pending.retain(|_, p| {
+            p.unacked.retain(|peer| view.contains(peer));
+            if p.unacked.is_empty() {
+                return false;
+            }
+            if now >= p.retransmit_at {
+                p.retransmit_at = now + retransmit_after;
+                actions.push(Action::Fanout {
+                    to: p.unacked.iter().copied().collect(),
+                    msg: ProcMsg::Broadcast {
+                        event: p.event.clone(),
+                        origin: me,
+                    },
+                });
+            }
+            true
+        });
         actions
     }
 

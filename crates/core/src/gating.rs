@@ -4,7 +4,7 @@
 //! A process appends `Deliver` events to the WAL and holds *all*
 //! resulting actions back until the append is durable
 //! (`process::apply_actions_durably`); a flush releases them in
-//! arrival order. A fixed `wal_max_gated` stalls bursty workloads
+//! arrival order. A fixed bound stalls bursty workloads
 //! (every burst larger than the cap pays a forced flush) and
 //! over-delays sparse ones. [`AdaptiveGate`] grows the bound
 //! multiplicatively when bursts force flushes and shrinks it when
@@ -14,9 +14,12 @@
 
 use crate::delivery::Action;
 
+/// The group-commit bound a gate starts at: this many gated actions
+/// force a flush before the adaptive policy has seen any load.
+pub const INITIAL_BOUND: usize = 512;
 /// Multiplicative step for [`AdaptiveGate`] growth and shrink.
 const GATE_STEP: usize = 2;
-/// The bound grows to at most `initial × GATE_MAX_FACTOR`.
+/// The bound grows to at most `INITIAL_BOUND × GATE_MAX_FACTOR`.
 const GATE_MAX_FACTOR: usize = 16;
 
 /// Actions gated behind un-flushed WAL appends, with an adaptive bound
@@ -25,19 +28,18 @@ const GATE_MAX_FACTOR: usize = 16;
 /// Policy (multiplicative-increase / multiplicative-decrease):
 ///
 /// * A **forced flush** means the burst outran the bound — the bound
-///   doubles (capped at `initial × 16`) so the next burst batches
+///   doubles (capped at `INITIAL_BOUND × 16`) so the next burst batches
 ///   more per fsync.
 /// * An **idle flush** (timer/backstop) at depth below a quarter of
 ///   the bound means the workload no longer fills batches — the bound
 ///   halves (floored at 1) so a later trickle isn't held hostage to a
 ///   burst-sized batch.
-/// * Disabled, the bound pins at `initial` — the PR 6 fixed-cap
+/// * Disabled, the bound pins at [`INITIAL_BOUND`] — the fixed-cap
 ///   behavior.
 #[derive(Debug, Clone)]
 pub struct AdaptiveGate {
     held: Vec<Action>,
     bound: usize,
-    initial: usize,
     adaptive: bool,
     /// Forced flushes observed (bursts that hit the bound).
     pub forced: u64,
@@ -46,15 +48,13 @@ pub struct AdaptiveGate {
 }
 
 impl AdaptiveGate {
-    /// Creates a gate starting at `initial` (clamped to ≥ 1);
+    /// Creates a gate starting at [`INITIAL_BOUND`];
     /// `adaptive = false` pins the bound there.
     #[must_use]
-    pub fn new(initial: usize, adaptive: bool) -> Self {
-        let initial = initial.max(1);
+    pub fn new(adaptive: bool) -> Self {
         Self {
             held: Vec::new(),
-            bound: initial,
-            initial,
+            bound: INITIAL_BOUND,
             adaptive,
             forced: 0,
             adjustments: 0,
@@ -90,7 +90,7 @@ impl AdaptiveGate {
         if !self.adaptive {
             return;
         }
-        let max = self.initial.saturating_mul(GATE_MAX_FACTOR);
+        let max = INITIAL_BOUND * GATE_MAX_FACTOR;
         let grown = self.bound.saturating_mul(GATE_STEP).min(max);
         if grown != self.bound {
             self.bound = grown;
@@ -132,57 +132,55 @@ mod tests {
 
     #[test]
     fn gate_grows_under_burst() {
-        let mut gate = AdaptiveGate::new(8, true);
-        assert_eq!(gate.bound(), 8);
+        let mut gate = AdaptiveGate::new(true);
+        assert_eq!(gate.bound(), INITIAL_BOUND);
         gate.on_forced_flush();
-        assert_eq!(gate.bound(), 16);
+        assert_eq!(gate.bound(), INITIAL_BOUND * 2);
         for _ in 0..20 {
             gate.on_forced_flush();
         }
-        assert_eq!(gate.bound(), 8 * 16, "growth caps at initial × 16");
+        assert_eq!(
+            gate.bound(),
+            INITIAL_BOUND * 16,
+            "growth caps at initial × 16"
+        );
         assert_eq!(gate.forced, 21);
     }
 
     #[test]
     fn gate_shrinks_when_idle_never_below_one() {
-        let mut gate = AdaptiveGate::new(8, true);
+        let mut gate = AdaptiveGate::new(true);
         for _ in 0..3 {
             gate.on_forced_flush();
         }
-        assert_eq!(gate.bound(), 64);
+        assert_eq!(gate.bound(), INITIAL_BOUND * 8);
         // Idle flushes at low depth walk the bound back down.
-        for _ in 0..20 {
+        for _ in 0..30 {
             gate.on_idle_flush(0);
         }
         assert_eq!(gate.bound(), 1, "shrink floors at 1, never 0");
         // A deep idle flush does not shrink.
-        let mut gate = AdaptiveGate::new(8, true);
+        let mut gate = AdaptiveGate::new(true);
         gate.on_forced_flush();
-        gate.on_idle_flush(15); // 15 ≥ 16/4
-        assert_eq!(gate.bound(), 16);
+        gate.on_idle_flush(INITIAL_BOUND / 2); // = (2 × initial) / 4
+        assert_eq!(gate.bound(), INITIAL_BOUND * 2);
     }
 
     #[test]
     fn disabled_gate_pins_bound() {
-        let mut gate = AdaptiveGate::new(512, false);
+        let mut gate = AdaptiveGate::new(false);
         for _ in 0..10 {
             gate.on_forced_flush();
             gate.on_idle_flush(0);
         }
-        assert_eq!(gate.bound(), 512);
+        assert_eq!(gate.bound(), INITIAL_BOUND);
         assert_eq!(gate.adjustments, 0);
         assert_eq!(gate.forced, 10, "forced flushes still counted");
     }
 
     #[test]
-    fn zero_initial_clamps_to_one() {
-        let gate = AdaptiveGate::new(0, true);
-        assert_eq!(gate.bound(), 1);
-    }
-
-    #[test]
     fn flush_releases_actions_in_hold_order() {
-        let mut gate = AdaptiveGate::new(8, true);
+        let mut gate = AdaptiveGate::new(true);
         let held = [(0, 0), (1, 0), (4, 0), (0, 1), (2, 0), (4, 1), (3, 0)];
         for (sensor, seq) in held {
             gate.hold(deliver(sensor, seq));

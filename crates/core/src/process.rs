@@ -35,7 +35,7 @@ use crate::app::{AppRuntime, AppSpec, OpOutput, StreamKey};
 use crate::config::{AckMode, RivuletConfig};
 use crate::delivery::gap::{self, GapRole};
 use crate::delivery::gapless::GaplessState;
-use crate::delivery::polling::{PollState, PollStrategy};
+use crate::delivery::polling::{PollState, PollStrategy, REPOLL_MARGIN};
 use crate::delivery::rbcast::RbcastState;
 use crate::delivery::{Action, Delivery};
 use crate::deploy::{Directory, DirectoryData};
@@ -68,6 +68,9 @@ const OP_COMPENSATION: OperatorId = OperatorId(u32::MAX);
 /// Processed events younger than this are retained so straggling
 /// duplicate copies still deduplicate against the store.
 const GC_STRAGGLER_HORIZON: Duration = Duration::from_secs(30);
+/// Cap on events retained per sensor in the replicated store; oldest
+/// events are evicted first. Home-scale memory bound.
+pub(crate) const STORE_CAP_PER_SENSOR: usize = 100_000;
 
 fn token(kind: u64, idx: u32) -> u64 {
     (kind << 32) | u64::from(idx)
@@ -411,11 +414,8 @@ impl RivuletProcess {
         // them) and the newest checkpoint seeds the processed
         // watermarks, so a later promotion replays only the suffix
         // beyond the checkpoint.
-        let mut gapless = GaplessState::new(
-            me,
-            self.spec.config.store_cap_per_sensor,
-            self.spec.config.anti_entropy,
-        );
+        let mut gapless =
+            GaplessState::new(me, STORE_CAP_PER_SENSOR, self.spec.config.anti_entropy);
         let mut processed: HashMap<SensorId, u64> = HashMap::new();
         let mut recovered_ledger: Vec<LedgerEntry> = Vec::new();
         let wal = self.spec.storage.as_ref().map(|durability| {
@@ -480,12 +480,12 @@ impl RivuletProcess {
         self.st = Some(Initialized {
             membership,
             gapless,
-            // Floods retransmit at the keep-alive-scale interval;
-            // tracked ring-origin entries get the failure timeout as
-            // grace, so healthy runs always retire them via beacon
-            // watermarks before any fallback flood fires.
+            // Floods retransmit at the keep-alive interval; tracked
+            // ring-origin entries get the failure timeout as grace, so
+            // healthy runs always retire them via beacon watermarks
+            // before any fallback flood fires.
             rbcast: RbcastState::new(me).with_timing(
-                self.spec.config.rbcast_retransmit,
+                self.spec.config.keepalive_interval,
                 self.spec.config.failure_timeout,
             ),
             apps,
@@ -498,10 +498,7 @@ impl RivuletProcess {
             cmd_seq,
             last_successor: None,
             wal,
-            gate: AdaptiveGate::new(
-                self.spec.config.wal_max_gated,
-                self.spec.config.wal_adaptive_gating,
-            ),
+            gate: AdaptiveGate::new(self.spec.config.wal_adaptive_gating),
             outbox: Outbox {
                 queue: Vec::new(),
                 groups: Vec::new(),
@@ -512,7 +509,7 @@ impl RivuletProcess {
             repair: self.spec.config.repair.then(|| {
                 let specs: Vec<Arc<AppSpec>> =
                     self.spec.apps.iter().map(|(s, _)| Arc::clone(s)).collect();
-                HealthModel::from_apps(&self.spec.config, &specs)
+                HealthModel::from_apps(&specs)
             }),
             routines,
         });
@@ -607,19 +604,15 @@ impl RivuletProcess {
             // and older than the straggler horizon will never be
             // replayed or synced again. Relay markers below the same
             // watermark can never be re-flooded, so they go with them.
-            if self.spec.config.store_gc {
-                let horizon = now.duration_since(Time::ZERO);
-                let cutoff = if horizon > GC_STRAGGLER_HORIZON {
-                    Time::ZERO + (horizon - GC_STRAGGLER_HORIZON)
-                } else {
-                    Time::ZERO
-                };
-                let marks: Vec<(SensorId, u64)> =
-                    st.processed.iter().map(|(s, q)| (*s, *q)).collect();
-                for (sensor, upto) in marks {
-                    let _ = st.gapless.store_mut().prune_processed(sensor, upto, cutoff);
-                    st.rbcast.prune_relayed(sensor, upto);
-                }
+            let horizon = now.duration_since(Time::ZERO);
+            let cutoff = if horizon > GC_STRAGGLER_HORIZON {
+                Time::ZERO + (horizon - GC_STRAGGLER_HORIZON)
+            } else {
+                Time::ZERO
+            };
+            for (&sensor, &upto) in &st.processed {
+                let _ = st.gapless.store_mut().prune_processed(sensor, upto, cutoff);
+                st.rbcast.prune_relayed(sensor, upto);
             }
             if let Some(probe) = &self.spec.store_probe {
                 probe.record_len(now, me, st.gapless.store().len());
@@ -1845,10 +1838,7 @@ impl RivuletProcess {
         if should_poll {
             self.send_poll(ctx, sensor);
             if coordinated {
-                ctx.set_timer(
-                    latency + self.spec.config.repoll_margin,
-                    token(KIND_REPOLL, sensor.as_u32()),
-                );
+                ctx.set_timer(latency + REPOLL_MARGIN, token(KIND_REPOLL, sensor.as_u32()));
             }
         }
     }
@@ -1864,10 +1854,7 @@ impl RivuletProcess {
         };
         if should_repoll {
             self.send_poll(ctx, sensor);
-            ctx.set_timer(
-                latency + self.spec.config.repoll_margin,
-                token(KIND_REPOLL, sensor.as_u32()),
-            );
+            ctx.set_timer(latency + REPOLL_MARGIN, token(KIND_REPOLL, sensor.as_u32()));
         }
     }
 

@@ -24,7 +24,6 @@ use rivulet_types::{Duration, Time};
 use crate::actor::{Actor, ActorEvent, ActorId, Context, Effect};
 use crate::link::{ActorClass, DropReason, Topology, Verdict};
 use crate::metrics::NetMetrics;
-use crate::trace::{Trace, TraceEvent};
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +209,6 @@ pub struct SimNet {
     seq: u64,
     rng: StdRng,
     metrics: NetMetrics,
-    trace: Trace,
     max_events: u64,
     /// Link-degradation bursts currently in force (lazily pruned).
     bursts: Vec<ActiveBurst>,
@@ -228,7 +226,6 @@ impl SimNet {
             seq: 0,
             rng: StdRng::seed_from_u64(config.seed),
             metrics: NetMetrics::new(),
-            trace: Trace::new(),
             max_events: config.max_events_per_run,
             bursts: Vec::new(),
         }
@@ -307,17 +304,6 @@ impl SimNet {
     #[must_use]
     pub fn obs_snapshot(&self) -> rivulet_obs::ObsSnapshot {
         self.metrics.obs_snapshot()
-    }
-
-    /// The driver trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the driver trace (to enable/clear it).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The link topology, for configuring ranges/loss before a run.
@@ -438,19 +424,9 @@ impl SimNet {
                 let slot = &self.slots[to.0 as usize];
                 if slot.instance.is_none() || slot.incarnation != to_inc {
                     self.metrics.record_drop(DropReason::DestinationDown);
-                    self.trace.record(
-                        self.now,
-                        TraceEvent::Dropped {
-                            from,
-                            to,
-                            reason: DropReason::DestinationDown,
-                        },
-                    );
                     return;
                 }
                 self.metrics.record_delivery();
-                self.trace
-                    .record(self.now, TraceEvent::Delivered { from, to });
                 self.fire(to, ActorEvent::Message { from, payload });
             }
             Pending::Timer {
@@ -478,7 +454,6 @@ impl SimNet {
             Control::Crash(actor) => {
                 let slot = &mut self.slots[actor.0 as usize];
                 if slot.instance.take().is_some() {
-                    self.trace.record(self.now, TraceEvent::Crashed { actor });
                     let key = u64::from(actor.0);
                     self.metrics.obs.event("net.crash", self.now, key, 0);
                     // Failover span: opened at the crash, closed by the
@@ -494,7 +469,6 @@ impl SimNet {
                     slot.timer_gens.clear();
                     slot.instance = Some((slot.factory)());
                     let inc = slot.incarnation;
-                    self.trace.record(self.now, TraceEvent::Recovered { actor });
                     self.metrics.obs.event(
                         "net.recover",
                         self.now,
@@ -592,14 +566,6 @@ impl SimNet {
                 let wifi = self.topology.class_of(actor) == ActorClass::Process
                     && self.topology.class_of(to) == ActorClass::Process;
                 self.metrics.record_send(actor, payload.len(), wifi);
-                self.trace.record(
-                    self.now,
-                    TraceEvent::Sent {
-                        from: actor,
-                        to,
-                        bytes: payload.len(),
-                    },
-                );
                 let verdict = self.topology.route(
                     &mut self.rng,
                     self.now,
@@ -635,14 +601,6 @@ impl SimNet {
                     }
                     Verdict::Drop(reason) => {
                         self.metrics.record_drop(reason);
-                        self.trace.record(
-                            self.now,
-                            TraceEvent::Dropped {
-                                from: actor,
-                                to,
-                                reason,
-                            },
-                        );
                     }
                 }
             }

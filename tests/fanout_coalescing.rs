@@ -4,14 +4,14 @@
 //! seeded run must stay fully deterministic with them enabled.
 
 use rivulet::core::app::{AppBuilder, CombinedWindows, CombinerSpec, OpCtx, WindowSpec};
-use rivulet::core::config::AckMode;
+use rivulet::core::config::{AckMode, ForwardingMode};
 use rivulet::core::delivery::Delivery;
 use rivulet::core::deploy::{Home, HomeBuilder};
 use rivulet::core::probe::AppProbe;
 use rivulet::core::RivuletConfig;
 use rivulet::devices::sensor::{EmissionSchedule, PayloadSpec};
 use rivulet::net::sim::{SimConfig, SimNet};
-use rivulet::types::{ActuationState, AppId, EventKind, ProcessId, SensorId, Time};
+use rivulet::types::{ActuationState, AppId, Duration, EventKind, ProcessId, SensorId, Time};
 use std::sync::Arc;
 
 struct Setup {
@@ -170,4 +170,76 @@ fn defaults_enable_the_optimizations() {
     let config = RivuletConfig::default();
     assert!(config.coalescing);
     assert_eq!(config.ack_mode, AckMode::Cumulative);
+}
+
+#[test]
+fn flood_retransmits_at_the_keepalive_interval() {
+    // Reliable-broadcast floods retransmit at the keep-alive pace. Two
+    // hosts, eager-broadcast forwarding, a blob sensor heard by the hub
+    // only: once the hub↔tv link is cut, the hub's flood of the next
+    // event can never be acknowledged, so until the failure timeout
+    // writes tv off, every re-send shows up as a blob-sized jump in the
+    // hub's sent bytes.
+    const BLOB: usize = 4096;
+    let keepalive = Duration::from_millis(250);
+    let config = RivuletConfig::default()
+        .with_keepalive_interval(keepalive)
+        .with_forwarding(ForwardingMode::EagerBroadcast);
+    let cut = Time::from_secs(5);
+    let mut net = SimNet::new(SimConfig::with_seed(7));
+    let mut home = HomeBuilder::new(&mut net).with_config(config.clone());
+    let pids: Vec<ProcessId> = ["hub", "tv"].iter().map(|n| home.add_host(*n)).collect();
+    let (sensor, _) = home.add_push_sensor(
+        "camera",
+        PayloadSpec::Blob {
+            kind: EventKind::Reading,
+            len: BLOB,
+        },
+        EmissionSchedule::Script(vec![cut + Duration::from_millis(100)]),
+        &[pids[0]],
+    );
+    let (anchor, _) = home.add_actuator("anchor", ActuationState::Switch(false), &[pids[0]]);
+    let app = AppBuilder::new(AppId(1), "flood")
+        .operator("sink", CombinerSpec::Any, noop())
+        .sensor(sensor, Delivery::Gapless, WindowSpec::count(1))
+        .actuator(anchor, Delivery::Gapless)
+        .done()
+        .build()
+        .expect("valid app");
+    let _probe = home.add_app(app);
+    let home = home.build();
+    let hub = home.actor_of(pids[0]);
+    let tv = home.actor_of(pids[1]);
+    net.set_blocked_at(cut, hub, tv, true);
+    net.set_blocked_at(cut, tv, hub, true);
+
+    let hub_bytes = |net: &SimNet| {
+        net.metrics()
+            .bytes_by_sender
+            .get(&hub)
+            .copied()
+            .unwrap_or(0)
+    };
+    net.run_until(cut);
+    let mut last = hub_bytes(&net);
+    let mut sends: Vec<Time> = Vec::new();
+    let mut t = cut;
+    while t < cut + config.failure_timeout {
+        t += Duration::from_millis(1);
+        net.run_until(t);
+        let now = hub_bytes(&net);
+        if now - last >= BLOB as u64 {
+            sends.push(t);
+        }
+        last = now;
+    }
+    // The first send is the flood itself; the rest are re-sends.
+    assert!(sends.len() >= 4, "flood plus re-sends, got {sends:?}");
+    for pair in sends[1..].windows(2) {
+        assert_eq!(
+            pair[1] - pair[0],
+            keepalive,
+            "re-sends follow the keep-alive interval: {sends:?}"
+        );
+    }
 }
